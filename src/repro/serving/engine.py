@@ -11,7 +11,8 @@ Event types, in tie-breaking order at equal timestamps:
   routing policy tracks in-flight queries, e.g. ``least-outstanding``);
 * ``ARRIVAL`` — the next pending query arrival.  Arrivals are pre-generated
   as one sorted vector per tenant per run and consumed in *chunked drains*:
-  one heap event covers every arrival up to the next control event, so a
+  one heap event covers every arrival up to the tenant's drain horizon — the
+  earliest heap event that is not another tenant's arrival — so a
   100k-query run costs thousands — not hundreds of thousands — of heap
   operations;
 * ``AUTOSCALE`` — the coalesced control tick: every control phase that lands
@@ -61,16 +62,23 @@ cost-weighted selection.  The default configuration — ``homogeneous`` cost
 model, ``max_batch=1`` — reproduces the historical constant-service-time
 engine bit-for-bit.
 
-The per-query hot path is vectorised end to end: every deployment keeps a
-:class:`~repro.serving.routing.ReplicaPool` — numpy arrays of queue-drain
-times, readiness and availability with dirty-flag invalidation — so routing
-policies rank replicas with one ``argmin`` instead of a Python pass, the
-:class:`~repro.serving.latency.LatencyTracker` records into pre-allocated
-buffers, and per-deployment interval accounting lives in slotted lane
-structs rather than dict lookups.  ``vectorized=False`` selects the
-historical scalar routing path; both paths are bit-exact (locked by
-``tests/serving/test_vectorized_equivalence.py`` and the experiment golden
-digests).
+Every query fans out to all of its tenant's deployment lanes, and a chunked
+drain serves them *lane-major*: nothing that touches the tenant can happen
+inside a chunk, so each lane serves the whole chunk in one loop and each
+query's latency is the maximum over its lanes plus RPC, one numpy reduction
+per chunk.  On a least-work lane whose pool is all-ready and single-batch,
+the loop picks replicas with a pure-Python ``min`` over busy times and
+applies the FIFO queue rule in locals
+(:meth:`~repro.serving.replica_server.ReplicaServer.serve_least_work`);
+other lanes route each hop through the policy's ``select_index`` over a
+:class:`~repro.serving.routing.ReplicaPool` (numpy arrays of queue-drain
+times, readiness and availability with dirty-flag invalidation).
+:meth:`_TenantRuntime.serve_query` stays the query-major path: per-arrival
+events (completion tracking, armed deadlines), single-query chunks, and
+policies whose lanes share state (power-of-two's one RNG stream).
+``vectorized=False`` selects the historical scalar routing path; every path
+is bit-exact (locked by ``tests/serving/test_vectorized_equivalence.py``,
+``tests/serving/test_lane_major.py`` and the experiment golden digests).
 
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
@@ -91,6 +99,8 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -405,7 +415,7 @@ def _force_ready(cluster: Cluster, now: float) -> None:
 
 
 class _DeploymentLane:
-    """Hot per-deployment state walked once per query by ``serve_query``.
+    """Hot per-deployment state walked by the serving paths.
 
     A lane bundles everything the routing loop needs — the deployment name,
     its replica pool, the mean service time, the role flags and the
@@ -668,6 +678,12 @@ class _TenantRuntime:
             policy.on_submit
             if type(policy).on_submit is not RoutingPolicy.on_submit
             else None
+        )
+        # Chunked drains serve lane-major unless routing one lane can change
+        # another lane's picks: a policy whose lanes share one RNG stream, a
+        # policy that counts submits, or the scalar reference path.
+        self.lane_major = (
+            self.vectorized and not policy.shares_lane_state and self.policy_on_submit is None
         )
 
     # ------------------------------------------------------------------
@@ -1012,6 +1028,92 @@ class _TenantRuntime:
             batches += server.completed_batches
         return queries, batches
 
+    def _price_cached(
+        self,
+        lane: _DeploymentLane,
+        pool: ReplicaPool,
+        index: int,
+        cost: float,
+        hot: float,
+        cold: float,
+        total: float,
+        warm_hits: float,
+        warm_scale: float,
+    ) -> float:
+        """Cost multiplier of one query's hop on a cached lane's replica.
+
+        Prices the gathers against the pool's fill list with the tenant's
+        shared grid — one lerp, one divide, one FMA and one fill write per
+        query, bit-exact with the scalar ``ReplicaCache.serve`` +
+        ``cache_adjusted_multiplier`` composition the ``vectorized=False``
+        path still uses — and adds the hit mass to ``lane.hit_sum``.
+        """
+        if pool.cache_warm:
+            # Every replica in the pool is pinned at capacity, so the fill
+            # array cannot change and pricing was precomputed in
+            # ``begin_run``: one accumulate and one multiply.  (A zero-gather
+            # query precomputed to warm_hits 0.0 / warm_scale 1.0, both exact
+            # no-ops.)
+            lane.hit_sum += warm_hits
+            return cost * warm_scale
+        if total <= 0.0:
+            return cost
+        (
+            cache_step,
+            cache_capacity,
+            grid_hot,
+            grid_cold,
+            grid_dhot,
+            grid_dcold,
+            grid_last,
+            hot_end,
+            cold_end,
+            cache_hit_cost,
+            cache_miss_scale,
+        ) = self.cache_geometry
+        fills = pool.fill_rows
+        fill = fills[index]
+        if fill >= cache_capacity:
+            # This replica is warm (fill pinned at exactly the capacity —
+            # admission clamps there) even though the pool as a whole is
+            # not: same precomputed grid-end pricing, no write-back.
+            lane.hit_sum += warm_hits
+            return cost * warm_scale
+        if fill <= 0.0:
+            # Cold cache: hits nothing, admits everything.
+            hit_rate = 0.0
+            fill = fill + total
+        else:
+            position = fill / cache_step
+            grid_index = int(position)
+            if grid_index >= grid_last:
+                f_hot = hot_end
+                f_cold = cold_end
+            else:
+                frac = position - grid_index
+                f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
+                f_cold = grid_cold[grid_index] + frac * grid_dcold[grid_index]
+            hits = hot * f_hot + cold * f_cold
+            hit_rate = hits / total
+            fill = fill + (total - hits)
+        if fill >= cache_capacity:
+            # The admission just pinned this replica at capacity; if it was
+            # the pool's last cold one, the whole pool enters the
+            # precomputed steady state.
+            fills[index] = cache_capacity
+            if min(fills) >= cache_capacity:
+                pool.cache_warm = True
+        else:
+            fills[index] = fill
+        if hit_rate > 0.0:
+            lane.hit_sum += hit_rate * total
+            if hit_rate == 1.0:
+                # IEEE-exact warm-cache contract: the adjusted cost is
+                # exactly hit_cost_fraction * cost.
+                return cost * cache_hit_cost
+            return cost * (1.0 - hit_rate * cache_miss_scale)
+        return cost
+
     def serve_query(
         self,
         arrival: float,
@@ -1050,27 +1152,12 @@ class _TenantRuntime:
         track_inflight = self.track_inflight
         if self.query_total is not None:
             # One query's gather split is shared by every cached lane; read
-            # the pre-priced values once, not once per lane.  Likewise the
-            # tenant's single shared cache geometry: one tuple unpack here
-            # replaces per-lane attribute reads inside the loop.
+            # the pre-priced values once, not once per lane.
             hot = self.query_hot[query_index]
             cold = self.query_cold[query_index]
             total = self.query_total[query_index]
             warm_hits = self.query_warm_hits[query_index]
             warm_scale = self.query_warm_scale[query_index]
-            (
-                cache_step,
-                cache_capacity,
-                grid_hot,
-                grid_cold,
-                grid_dhot,
-                grid_dcold,
-                grid_last,
-                hot_end,
-                cold_end,
-                cache_hit_cost,
-                cache_miss_scale,
-            ) = self.cache_geometry
         for lane in self._lanes:
             name = lane.name
             service = lane.service_s
@@ -1121,74 +1208,11 @@ class _TenantRuntime:
                 # fill-dependent fraction of this query's gathers at the hit
                 # cost and admits the misses (warming itself up).  A cold
                 # cache (hit rate 0) leaves the cost multiplier untouched.
-                # The vectorized branch prices against the pool's fill list
-                # with the tenant's shared grid (unpacked into locals above)
-                # — one lerp, one divide, one FMA and one fill write per
-                # query, bit-exact with the scalar ``ReplicaCache.serve`` +
-                # ``cache_adjusted_multiplier`` composition the
-                # ``vectorized=False`` path still uses.
                 lane.gather_sum += total
                 if index is not None:
-                    if pool.cache_warm:
-                        # Every replica in the pool is pinned at capacity, so
-                        # the fill array cannot change and pricing was
-                        # precomputed in ``begin_run``: the whole branch is
-                        # one accumulate and one multiply.  (A zero-gather
-                        # query precomputed to warm_hits 0.0 / warm_scale
-                        # 1.0, both exact no-ops.)
-                        lane.hit_sum += warm_hits
-                        submit_cost = cost * warm_scale
-                    elif total > 0.0:
-                        fills = pool.fill_rows
-                        fill = fills[index]
-                        if fill >= cache_capacity:
-                            # This replica is warm (fill pinned at exactly the
-                            # capacity — admission clamps there) even though
-                            # the pool as a whole is not: same precomputed
-                            # grid-end pricing, no write-back.
-                            lane.hit_sum += warm_hits
-                            submit_cost = cost * warm_scale
-                        else:
-                            if fill <= 0.0:
-                                # Cold cache: hits nothing, admits everything.
-                                hit_rate = 0.0
-                                fill = fill + total
-                            else:
-                                position = fill / cache_step
-                                grid_index = int(position)
-                                if grid_index >= grid_last:
-                                    f_hot = hot_end
-                                    f_cold = cold_end
-                                else:
-                                    frac = position - grid_index
-                                    f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
-                                    f_cold = (
-                                        grid_cold[grid_index] + frac * grid_dcold[grid_index]
-                                    )
-                                hits = hot * f_hot + cold * f_cold
-                                hit_rate = hits / total
-                                fill = fill + (total - hits)
-                            if fill >= cache_capacity:
-                                # The admission just pinned this replica at
-                                # capacity; if it was the pool's last cold
-                                # one, the whole pool enters the precomputed
-                                # steady state.
-                                fills[index] = cache_capacity
-                                if min(fills) >= cache_capacity:
-                                    pool.cache_warm = True
-                            else:
-                                fills[index] = fill
-                            if hit_rate > 0.0:
-                                lane.hit_sum += hit_rate * total
-                                if hit_rate == 1.0:
-                                    # IEEE-exact warm-cache contract: the
-                                    # adjusted cost is exactly
-                                    # hit_cost_fraction * cost.
-                                    submit_cost = cost * cache_hit_cost
-                                else:
-                                    submit_cost = cost * (
-                                        1.0 - hit_rate * cache_miss_scale
-                                    )
+                    submit_cost = self._price_cached(
+                        lane, pool, index, cost, hot, cold, total, warm_hits, warm_scale
+                    )
                 elif total > 0.0:
                     # Scalar engine path: the per-replica ``ReplicaCache``
                     # stays authoritative (the pool never builds fill arrays).
@@ -1198,9 +1222,9 @@ class _TenantRuntime:
                         if hit_rate == 1.0:
                             # IEEE-exact warm-cache contract: the adjusted
                             # cost is exactly hit_cost_fraction * cost.
-                            submit_cost = cost * cache_hit_cost
+                            submit_cost = cost * self.cache_hit_cost
                         else:
-                            submit_cost = cost * (1.0 - hit_rate * cache_miss_scale)
+                            submit_cost = cost * (1.0 - hit_rate * self.cache_geometry[10])
             completion = server.submit(arrival, service, submit_cost)
             if index is not None:
                 pool.busy[index] = completion
@@ -1271,6 +1295,261 @@ class _TenantRuntime:
                         ),
                     ),
                 )
+
+    def drain(self, start: int, arrivals: list[float], tenant_index: int) -> None:
+        """Serve one chunked drain: queries ``start, start + 1, ...``.
+
+        No heap event that touches this tenant lands between the chunk's
+        arrivals, so nothing can change a pool mid-chunk and the deployment
+        lanes are independent: the chunk is served lane-major
+        (:meth:`_serve_lanes`).  Single-query chunks, and tenants whose
+        lanes are not independent (see ``lane_major``), go query by query
+        through :meth:`serve_query`.  Quality fallback never reaches a
+        chunked drain: its ladder level arms deadlines, which switch the
+        tenant to per-arrival events.
+        """
+        if len(arrivals) > 1 and self.lane_major:
+            self._serve_lanes(start, arrivals)
+            return
+        serve = self.serve_query
+        for offset, arrival in enumerate(arrivals):
+            serve(arrival, start + offset, tenant_index)
+
+    def _serve_lanes(self, start: int, arrivals: list[float]) -> None:
+        """Serve a chunk lane-major: admit, serve lane by lane, record.
+
+        Shed draws happen per query before any lane, as in
+        :meth:`serve_query`; :meth:`_serve_chunk` serves the admitted
+        queries; the tracker records every query in query order.  Bit-exact
+        with :meth:`serve_query` per query: each lane sees its queries in
+        arrival order, so every replica queue, cache fill, accumulator sum
+        and in-flight list evolves in the same order.
+        """
+        count = len(arrivals)
+        stop = start + count
+        base = self.tracker.num_samples
+        watchdog_on = self.watchdog_on
+        shed = None
+        if watchdog_on:
+            self.interval_arrivals += count
+            if self.shed_armed:
+                rng = self.slo_rng
+                fraction = self.shed_fraction_value
+                shed = [float(rng.random()) < fraction for _ in range(count)]
+        keep = None if shed is None or not any(shed) else ~np.array(shed)
+
+        def chunk(values) -> np.ndarray | None:
+            if values is None:
+                return None
+            part = np.asarray(values[start:stop], dtype=np.float64)
+            return part if keep is None else part[keep]
+
+        times = np.asarray(arrivals, dtype=np.float64)
+        if keep is None:
+            served = arrivals
+            indices = range(base, base + count)
+        else:
+            times = times[keep]
+            served = times.tolist()
+            indices = (base + np.flatnonzero(keep)).tolist()
+        size = len(served)
+        multipliers = chunk(self.query_multipliers)
+        costs = None if multipliers is None else multipliers.tolist()
+        split = None
+        if self.query_total is not None:
+            split = (
+                chunk(self.query_hot).tolist(),
+                chunk(self.query_cold).tolist(),
+                chunk(self.query_total).tolist(),
+                chunk(self.query_warm_hits).tolist(),
+                chunk(self.query_warm_scale).tolist(),
+            )
+        ends = latencies = ()  # every query was shed: nothing to serve
+        if size:
+            ends, latencies = self._serve_chunk(served, times, indices, multipliers, costs, split)
+        record = self.tracker.record
+        results = zip(ends, latencies)
+        if keep is None:
+            for end, latency in results:
+                record(end, latency)
+            return
+        for arrival, dropped in zip(arrivals, shed):
+            if dropped:
+                self._shed_query(arrival)
+            else:
+                record(*next(results))
+
+    def _serve_chunk(
+        self,
+        arrivals: list[float],
+        times: np.ndarray,
+        indices,
+        multipliers: np.ndarray | None,
+        costs: list[float] | None,
+        split: tuple | None,
+    ) -> tuple[list[float], list[float]]:
+        """Serve a chunk's admitted queries on every lane, lane by lane.
+
+        Each lane serves the whole chunk in one loop; a query's latency is
+        the maximum over its lanes' completions plus RPC, one numpy
+        reduction for the chunk.  ``indices`` are the queries' tracker
+        indices.  Returns each query's completion time and latency.
+        """
+        size = len(arrivals)
+        policy = self.policy
+        faults_on = self.faults_on
+        lanes = self._lanes
+        grid = np.empty((len(lanes), size))
+        rejected = np.zeros(size, dtype=bool)
+        for row, lane in enumerate(lanes):
+            lane.count += size
+            pool = lane.pool.refresh()
+            cost_bearing = lane.cost_bearing
+            if (
+                pool.size
+                and pool.single_batch
+                and arrivals[0] >= policy.least_work_from(pool)
+                and not (
+                    faults_on
+                    and any(
+                        self._slowdown_factor(lane.name, server.name) != 1.0
+                        for server in pool.servers
+                    )
+                )
+            ):
+                # Least-work fast path: routed and queued inline.
+                submit = multipliers if cost_bearing else None
+                price = None
+                if lane.cached:
+                    lane.gather_sum = reduce(add, split[2], lane.gather_sum)
+                    if pool.cache_warm:
+                        # The precomputed grid-end pricing, for the chunk.
+                        submit = multipliers * np.asarray(split[4])
+                        lane.hit_sum = reduce(add, split[3], lane.hit_sum)
+                    else:
+                        submit = None
+                        price = self._cache_pricer(lane, pool, costs, split)
+                completions, picks = ReplicaServer.serve_least_work(
+                    pool.servers, arrivals, lane.service_s, submit, price
+                )
+                pool.busy[:] = [server.busy_until for server in pool.servers]
+            else:
+                completions, picks = self._lane_hops(
+                    lane, arrivals, costs if cost_bearing else None, split
+                )
+            if self.track_inflight:
+                self._register_inflight(lane, arrivals, indices, costs, split, completions, picks)
+            if None in picks:
+                rejected |= np.array([pick is None for pick in picks])
+            grid[row] = completions
+            if not lane.dense:
+                lane.latencies.extend((grid[row] - times).tolist())
+        latencies = grid.max(axis=0) + self.rpc_overhead_s - times
+        ends = (times + latencies).tolist()
+        latencies = latencies.tolist()
+        for lane in self._dense_lanes:
+            lane.latencies.extend(latencies)
+        failed = np.flatnonzero(rejected).tolist()
+        for offset in failed:
+            self.rejected_indices.add(indices[offset])
+        if self.watchdog_on:
+            self.interval_rejected += len(failed)
+        return ends, latencies
+
+    def _cache_pricer(
+        self, lane: _DeploymentLane, pool: ReplicaPool, costs: list[float], split: tuple
+    ) -> Callable[[int, int], float]:
+        """``price(index, k)``: the multiplier of a chunk's query ``k`` on
+        ``pool``'s replica ``index`` (see :meth:`_price_cached`)."""
+        hot, cold, total, warm_hits, warm_scale = split
+        price_cached = self._price_cached
+
+        def price(index: int, offset: int) -> float:
+            return price_cached(
+                lane,
+                pool,
+                index,
+                costs[offset],
+                hot[offset],
+                cold[offset],
+                total[offset],
+                warm_hits[offset],
+                warm_scale[offset],
+            )
+
+        return price
+
+    def _lane_hops(
+        self,
+        lane: _DeploymentLane,
+        arrivals: list[float],
+        costs: list[float] | None,
+        split: tuple | None,
+    ) -> tuple[list[float], list[int | None]]:
+        """Serve one lane over a chunk through the policy, hop by hop.
+
+        The per-lane body of :meth:`serve_query`: ``costs`` are the cost
+        multipliers (``None``: all 1.0), ``split`` the chunk's cache pricing
+        inputs.  Returns each query's shard completion (the rejection
+        penalty where no replica was routable) and pick (``None`` where
+        rejected).
+        """
+        name = lane.name
+        pool = lane.pool
+        service_s = lane.service_s
+        select_index = self.policy.select_index
+        slowdown = self._slowdown_factor if self.faults_on else None
+        penalty = 2.0 * self.sla_s
+        price = self._cache_pricer(lane, pool, costs, split) if lane.cached else None
+        completions: list[float] = []
+        picks: list[int | None] = []
+        for offset, arrival in enumerate(arrivals):
+            cost = 1.0 if costs is None else costs[offset]
+            index = select_index(name, pool, arrival, (service_s, cost))
+            picks.append(index)
+            if index is None:
+                self.interval_failures[name] += 1
+                completions.append(arrival + penalty)
+                continue
+            server = pool.servers[index]
+            service = service_s
+            if slowdown is not None:
+                service = service * slowdown(name, server.name)
+            submit_cost = cost
+            if price is not None:
+                lane.gather_sum += split[2][offset]
+                submit_cost = price(index, offset)
+            completion = server.submit(arrival, service, submit_cost)
+            pool.busy[index] = completion
+            completions.append(completion)
+        return completions, picks
+
+    def _register_inflight(
+        self,
+        lane: _DeploymentLane,
+        arrivals: list[float],
+        indices,
+        costs: list[float] | None,
+        split: tuple | None,
+        completions: list[float],
+        picks: list[int | None],
+    ) -> None:
+        """Add one lane's served hops of a chunk to the in-flight registry,
+        in query order, as :meth:`serve_query` adds them one by one."""
+        registry = self.inflight
+        keys = [(lane.name, server.name) for server in lane.pool.servers]
+        service_s = lane.service_s
+        cost_bearing = lane.cost_bearing
+        cached = lane.cached
+        for offset, (index, completion) in enumerate(zip(picks, completions)):
+            if index is None:
+                continue
+            cost = costs[offset] if cost_bearing and costs is not None else 1.0
+            entry = [arrivals[offset], indices[offset], completion, service_s, cost]
+            if cached:
+                entry.append(split[0][offset])
+                entry.append(split[1][offset])
+            registry.setdefault(keys[index], []).append(entry)
 
     # ------------------------------------------------------------------
     # SLO watchdog: shedding, deadlines/retries, fallback, escalation
@@ -2374,6 +2653,40 @@ def _apply_fault(
         raise TypeError(f"unknown fault event {event!r}")
 
 
+def _drain_horizon(heap: list, tenant_index: int | None) -> float:
+    """Time up to which a chunked drain of one tenant may serve arrivals.
+
+    The earliest heap event that is not another tenant's ARRIVAL: those
+    touch only that tenant's replicas, so serving past them is exact.  Every
+    other event — control ticks, faults, completions, this tenant's own
+    timeouts and retries — bounds the drain.  ``tenant_index=None`` counts
+    every event (the earliest one on the heap).
+
+    A pruned walk of the binary heap: a qualifying entry bounds its whole
+    subtree, so the walk descends only below other tenants' arrivals — at
+    most one per tenant is ever on the heap.
+    """
+    if tenant_index is None:
+        return heap[0][0] if heap else np.inf
+    horizon = np.inf
+    size = len(heap)
+    stack = [0] if size else []
+    while stack:
+        position = stack.pop()
+        at, kind, _, payload = heap[position]
+        if at >= horizon:
+            continue
+        if kind != EventKind.ARRIVAL or payload[0] == tenant_index:
+            horizon = at
+            continue
+        child = 2 * position + 1
+        if child < size:
+            stack.append(child)
+            if child + 1 < size:
+                stack.append(child + 1)
+    return horizon
+
+
 def _drive(
     cluster: Cluster,
     runtimes: Sequence[_TenantRuntime],
@@ -2431,6 +2744,10 @@ def _drive(
         # tenant must maintain its in-flight registry to settle the fallout.
         for runtime in runtimes:
             runtime.track_inflight = True
+    # A tenant's arrivals touch only its own replicas and policy, so its
+    # drains may run past other tenants' arrivals — unless two tenants share
+    # one policy instance, whose state their picks would then interleave on.
+    local_horizons = len({id(runtime.policy) for runtime in runtimes}) == len(runtimes)
 
     while heap:
         now, kind, _, payload = heapq.heappop(heap)
@@ -2462,32 +2779,28 @@ def _drive(
                     )
             else:
                 # Chunked drain: serve every arrival up to (and including)
-                # the next control event of *any* tenant; nothing can
+                # the drain horizon; nothing that touches this tenant can
                 # preempt them in between.
-                horizon = heap[0][0] if heap else float("inf")
+                horizon = _drain_horizon(heap, tenant_index if local_horizons else None)
                 stop = int(np.searchsorted(runtime.arrivals, horizon, side="right"))
                 stop = min(max(stop, index + 1), runtime.num_served)
-                serve = runtime.serve_query
-                arrival_list = runtime.arrival_list
-                if arrival_list is not None:
-                    for i in range(index, stop):
-                        serve(arrival_list[i], i, tenant_index)
-                    next_arrival = arrival_list[stop] if stop < runtime.num_served else None
+                if runtime.arrival_list is not None:
+                    chunk = runtime.arrival_list[index:stop]
                 else:
                     # Streamed run: no whole-run Python list — convert one
                     # drain chunk at a time (same float64 values, bounded
                     # footprint at any horizon).
-                    for i, arrival in enumerate(
-                        runtime.arrivals[index:stop].tolist(), start=index
-                    ):
-                        serve(arrival, i, tenant_index)
-                    next_arrival = (
-                        runtime.arrival_at(stop) if stop < runtime.num_served else None
-                    )
-                if next_arrival is not None:
+                    chunk = runtime.arrivals[index:stop].tolist()
+                runtime.drain(index, chunk, tenant_index)
+                if stop < runtime.num_served:
                     heapq.heappush(
                         heap,
-                        (next_arrival, EventKind.ARRIVAL, next(seq), (tenant_index, stop)),
+                        (
+                            runtime.arrival_at(stop),
+                            EventKind.ARRIVAL,
+                            next(seq),
+                            (tenant_index, stop),
+                        ),
                     )
         elif kind == EventKind.COMPLETION:
             if on_event is not None:

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import islice
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.data.distributions import AccessDistribution
 from repro.hardware.perf_model import BatchLatencyModel
@@ -514,6 +517,85 @@ class ReplicaServer:
                 run_ends.append(completion)
         self._completed += 1
         return completion
+
+    @staticmethod
+    def serve_least_work(
+        servers: Sequence["ReplicaServer"],
+        arrivals: Sequence[float],
+        service_time: float,
+        multipliers: np.ndarray | None = None,
+        price: Callable[[int, int], float] | None = None,
+    ) -> tuple[list[float], list[int]]:
+        """Route a run of queries to the least-busy replica and serve them.
+
+        Query ``k`` arrives at ``arrivals[k]`` with cost multiplier
+        ``multipliers[k]`` (1.0 for all when ``None``) and goes to the replica
+        whose queue drains first — the first one on ties, as ``argmin``
+        picks.  When the multiplier depends on the pick (a replica's cache
+        fill), ``price(index, k)`` supplies it instead, once the pick is
+        made.  Every replica must be single-batch, share one batch model and
+        be routable at every arrival.  Each query then follows
+        :meth:`submit`'s single-batch FIFO rule exactly, but the replicas'
+        state lives in locals for the whole run and is written back once.
+        Returns each query's completion time and chosen replica index.
+        """
+        if service_time <= 0:
+            raise ValueError("service_time must be positive")
+        if not all(server._single for server in servers):
+            raise ValueError("serve_least_work needs single-batch replicas")
+        scale = servers[0]._unit_scale
+        services: Sequence[float] = [service_time] * len(arrivals)
+        if multipliers is not None:
+            if multipliers.size and multipliers.min() <= 0:
+                raise ValueError("multiplier must be positive")
+            # submit's unit factor, elementwise: the same IEEE operations in
+            # the same order, so every service time is bit-identical.
+            if scale is None:
+                scaled = service_time * multipliers
+            else:
+                scaled = service_time * (1.0 + scale * (multipliers - 1.0))
+            services = np.where(multipliers == 1.0, service_time, scaled).tolist()
+        busy = [server._busy_until for server in servers]
+        busy_time = [server._busy_time for server in servers]
+        run_starts = [server._run_starts for server in servers]
+        run_ends = [server._run_ends for server in servers]
+        completions = [0.0] * len(arrivals)
+        picks = [0] * len(arrivals)
+        for offset, arrival in enumerate(arrivals):
+            drain = min(busy)
+            index = busy.index(drain)
+            if price is None:
+                service = services[offset]
+            else:
+                multiplier = price(index, offset)
+                if multiplier <= 0:
+                    raise ValueError("multiplier must be positive")
+                if multiplier == 1.0:
+                    service = service_time
+                elif scale is None:
+                    service = service_time * multiplier
+                else:
+                    service = service_time * (1.0 + scale * (multiplier - 1.0))
+            start = arrival if arrival > drain else drain
+            completion = start + service
+            ends = run_ends[index]
+            if ends and start <= ends[-1]:
+                ends[-1] = completion
+            else:
+                run_starts[index].append(start)
+                ends.append(completion)
+            busy[index] = completion
+            busy_time[index] += service
+            completions[offset] = completion
+            picks[offset] = index
+        served = np.bincount(picks, minlength=len(servers)).tolist()
+        for server, drain, seconds, count in zip(servers, busy, busy_time, served):
+            if count:
+                server._busy_until = drain
+                server._busy_time = seconds
+                server._batches += count
+                server._completed += count
+        return completions, picks
 
     def predicted_completion(
         self, arrival: float, service_time: float, multiplier: float = 1.0

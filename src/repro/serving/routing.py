@@ -63,6 +63,12 @@ creation order) and identical RNG consumption, locked by the equivalence
 suite in ``tests/serving/test_vectorized_equivalence.py``.  Policies that do
 not override the vectorized path (``least-outstanding``) transparently fall
 back to their scalar implementation.
+
+Two properties let the engine serve a chunk of queries lane by lane:
+:meth:`RoutingPolicy.least_work_from` says from when a pool's picks are plain
+least-work (so the engine may pick inline), and
+:attr:`RoutingPolicy.shares_lane_state` marks policies whose lanes draw from
+one shared state (power-of-two's RNG stream), which must stay query-major.
 """
 
 from __future__ import annotations
@@ -353,6 +359,10 @@ class RoutingPolicy:
     name: str = ""
     #: Whether the engine must schedule completion events for this policy.
     needs_completion_events: bool = False
+    #: Whether picks on different deployments share mutable state (one RNG
+    #: stream drawn by every lane), so a chunk of queries must be routed
+    #: query by query to reproduce the query-major draw order.
+    shares_lane_state: bool = False
 
     def reset(self, rng: np.random.Generator) -> None:
         """Clear per-run state; called by the engine before each run."""
@@ -390,6 +400,16 @@ class RoutingPolicy:
         if server is None:
             return None
         return pool.index_of[server.name]
+
+    def least_work_from(self, pool: ReplicaPool) -> float:
+        """Earliest time from which a pick on ``pool`` is plain least-work.
+
+        From then on (and until the pool changes) the policy picks the first
+        replica with the smallest ``busy`` entry, exactly as ``argmin`` does,
+        so the engine may route a whole run of queries inline.  ``inf``
+        means never; ``pool`` must be fresh (see :meth:`ReplicaPool.refresh`).
+        """
+        return np.inf
 
     def on_submit(self, deployment_name: str, server: ReplicaServer) -> None:
         """Notification that a query was enqueued on ``server``."""
@@ -451,6 +471,9 @@ class LeastWorkPolicy(RoutingPolicy):
             return None
         return _masked_argmin(pool.busy, mask)
 
+    def least_work_from(self, pool: ReplicaPool) -> float:
+        return pool.ready_threshold
+
 
 class RoundRobinPolicy(RoutingPolicy):
     """Cycle through ready replicas regardless of their load."""
@@ -498,6 +521,7 @@ class PowerOfTwoPolicy(RoutingPolicy):
     """Sample two random replicas, keep the one with less pending work."""
 
     name = "power-of-two"
+    shares_lane_state = True
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self._balancer = PowerOfTwoBalancer(_queue_drain_time, rng=rng)
