@@ -94,6 +94,7 @@ seed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -403,6 +404,63 @@ def _metric_series(
                 np.percentile(sorted_latencies[lo[index] : hi[index]], 95)
             )
     return achieved_qps, p95_series
+
+
+#: Per-tick series holding one row per deployment lane, name -> dtype.  Each
+#: name is both a per-deployment :class:`SimulationResult` field and a key of
+#: the spool's ``series`` chunks (a lanes x ticks array).  Alongside them a
+#: chunk carries the 1-D float64 ``sample_times``, ``target_qps`` and
+#: ``memory_gb``, plus two optional float64 row series: ``cache_hit_rate``
+#: (rows: the cached deployments) on cached runs and ``watchdog`` (rows:
+#: :data:`WATCHDOG_SERIES_KEYS`) on watchdog runs.
+LANE_SERIES = {
+    "replica_counts": np.int64,
+    "utilization": np.float64,
+    "availability": np.float64,
+    "requeues": np.int64,
+    "batch_occupancy": np.float64,
+}
+
+
+def assemble_result(
+    fields: dict, chunks: Sequence[dict[str, np.ndarray]], tracker: LatencyTracker
+) -> SimulationResult:
+    """Build a tenant's :class:`SimulationResult` from its series chunks.
+
+    ``fields`` is the run's field dict (:meth:`_TenantRuntime.result_fields`,
+    which is also a streamed tenant's ``meta.json``): every scalar result
+    field plus the row labels and the sample interval.  ``chunks`` are the
+    run's ``series`` chunks in tick order — one cut at the end of an
+    in-memory run, or the spooled ones of a streamed run.
+    """
+    series = {
+        name: np.concatenate([chunk[name] for chunk in chunks], axis=-1)
+        for name in chunks[0]
+    }
+    labels = dict.fromkeys(LANE_SERIES, fields["deployments"])
+    labels["cache_hit_rate"] = fields["cached_deployments"]
+    labels["watchdog"] = WATCHDOG_SERIES_KEYS
+    rows = {name: dict(zip(labels[name], series.get(name, ()))) for name in labels}
+    achieved_qps, p95_latency_ms = _metric_series(
+        tracker, series["sample_times"], fields["sample_interval_s"]
+    )
+    scalars = {
+        item.name: fields[item.name]
+        for item in dataclasses.fields(SimulationResult)
+        if item.name in fields
+    }
+    return SimulationResult(
+        sample_times=series["sample_times"],
+        target_qps=series["target_qps"],
+        achieved_qps=achieved_qps,
+        memory_gb=series["memory_gb"],
+        p95_latency_ms=p95_latency_ms,
+        tracker=tracker,
+        cache_hit_rate=rows["cache_hit_rate"],
+        watchdog_series=rows["watchdog"],
+        **{name: rows[name] for name in LANE_SERIES},
+        **scalars,
+    )
 
 
 def _force_ready(cluster: Cluster, now: float) -> None:
@@ -886,21 +944,28 @@ class _TenantRuntime:
         self.interval_rejected = 0
         self.interval_timeouts = 0
         self.interval_degraded = 0
-        self.watchdog_series: dict[str, list[float]] = (
-            {key: [] for key in WATCHDOG_SERIES_KEYS} if self.watchdog_on else {}
-        )
         self.tracker = LatencyTracker()
         self.boundaries = np.arange(
             self.sample_interval_s,
             pattern.duration_s + self.sample_interval_s,
             self.sample_interval_s,
         )
+        # Per-tick series recorded since the last chunk cut: the 1-D tick
+        # lists, and the row series as chunk key -> row label -> values (see
+        # LANE_SERIES).  The cache and watchdog rows exist only on runs that
+        # record them, so every other run's chunks and results lack them.
+        self.num_ticks = 0
         self.sample_times: list[float] = []
         self.memory_series: list[float] = []
-        self.replica_series: dict[str, list[int]] = {d.name: [] for d in self.deployments}
-        self.utilization_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
+        self.row_series: dict[str, dict[str, list]] = {
+            name: {lane.name: [] for lane in self._lanes} for name in LANE_SERIES
         }
+        if self.caches_on:
+            self.row_series["cache_hit_rate"] = {
+                lane.name: [] for lane in self._lanes if lane.cached
+            }
+        if self.watchdog_on:
+            self.row_series["watchdog"] = {key: [] for key in WATCHDOG_SERIES_KEYS}
         for lane in self._lanes:
             lane.count = 0
             lane.latencies = []
@@ -908,12 +973,6 @@ class _TenantRuntime:
             lane.gather_sum = 0.0
         for pool in self.pools.values():
             pool.invalidate()
-        self.cache_hit_series: dict[str, list[float]] = {
-            lane.name: [] for lane in self._lanes if lane.cached
-        }
-        self.batch_occupancy_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
-        }
         self._occupancy_marks: dict[str, tuple[int, int]] = {
             d.name: self._served_totals(d.name) for d in self.deployments
         }
@@ -959,14 +1018,6 @@ class _TenantRuntime:
         self.requeued_count = 0
         self.interval_failures: dict[str, int] = {d.name: 0 for d in self.deployments}
         self.interval_requeues: dict[str, int] = {d.name: 0 for d in self.deployments}
-        self.availability_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
-        }
-        self.requeue_series: dict[str, list[int]] = {
-            d.name: [] for d in self.deployments
-        }
-        #: Sample points accumulated since the last streamed series flush.
-        self._pending_series_samples = 0
 
     def _store_cache_pricing(
         self, hot: np.ndarray, cold: np.ndarray, total: np.ndarray
@@ -1612,7 +1663,7 @@ class _TenantRuntime:
         actions = self.watchdog.observe(now, latencies, availability, reject_rate)
         if actions:
             self.watchdog_actions.extend(actions)
-        series = self.watchdog_series
+        series = self.row_series["watchdog"]
         series["level"].append(float(self.watchdog.level))
         series["shed"].append(self.interval_shed / arrivals if arrivals else 0.0)
         series["timeouts"].append(float(self.interval_timeouts))
@@ -2326,9 +2377,10 @@ class _TenantRuntime:
         self.sample_times.append(now)
         self.memory_series.append(self.allocated_memory_gb)
         window_start = now - self.sample_interval_s
+        series = self.row_series
         for deployment, lane in zip(self.deployments, self._lanes):
             name = lane.name
-            self.replica_series[name].append(len(deployment.active_replicas))
+            series["replica_counts"][name].append(len(deployment.active_replicas))
             servers = self.servers[name].values()
             if servers:
                 utilization = float(
@@ -2341,7 +2393,7 @@ class _TenantRuntime:
                     server.prune_runs(window_start)
             else:
                 utilization = 0.0
-            self.utilization_series[name].append(utilization)
+            series["utilization"][name].append(utilization)
             queries, batches = self._served_totals(name)
             mark_queries, mark_batches = self._occupancy_marks[name]
             batch_delta = batches - mark_batches
@@ -2354,7 +2406,7 @@ class _TenantRuntime:
                 # attributed to the next batch-opening interval instead of
                 # being dropped from the occupancy accounting.
                 occupancy = 0.0
-            self.batch_occupancy_series[name].append(occupancy)
+            series["batch_occupancy"][name].append(occupancy)
             offered = lane.count
             failures = self.interval_failures[name]
             if offered:
@@ -2364,11 +2416,11 @@ class _TenantRuntime:
                 available = max(0.0, 1.0 - failures / offered)
             else:
                 available = 1.0 if failures == 0 else 0.0
-            self.availability_series[name].append(available)
-            self.requeue_series[name].append(self.interval_requeues[name])
+            series["availability"][name].append(available)
+            series["requeues"][name].append(self.interval_requeues[name])
             if lane.cached:
                 gathers = lane.gather_sum
-                self.cache_hit_series[name].append(
+                series["cache_hit_rate"][name].append(
                     lane.hit_sum / gathers if gathers > 0 else 0.0
                 )
                 lane.hit_sum = 0.0
@@ -2386,8 +2438,7 @@ class _TenantRuntime:
             # Streamed flush hooks ride the coalesced control tick: series
             # chunks every `flush_series_every` samples, tracker spills as
             # soon as a threshold's worth of samples is settled.
-            self._pending_series_samples += 1
-            if self._pending_series_samples >= self.stream.flush_series_every:
+            if len(self.sample_times) >= self.stream.flush_series_every:
                 self._flush_series_chunk()
             self._maybe_spill_tracker()
 
@@ -2425,74 +2476,44 @@ class _TenantRuntime:
     def _write_query_chunk(self, times: np.ndarray, lats: np.ndarray) -> None:
         self.stream_writer.append("queries", completion_times=times, latencies_s=lats)
 
-    def _flush_series_chunk(self) -> None:
-        """Write the per-interval series accumulated since the last flush."""
-        if not self.sample_times:
-            self._pending_series_samples = 0
-            return
-        times = np.asarray(self.sample_times)
-        lanes = [lane.name for lane in self._lanes]
-        chunk = dict(
-            sample_times=times,
-            target_qps=np.asarray(self.pattern.rate_at(times), dtype=np.float64),
-            memory_gb=np.asarray(self.memory_series),
-            replica_counts=np.asarray(
-                [self.replica_series[name] for name in lanes], dtype=np.int64
-            ),
-            utilization=np.asarray([self.utilization_series[name] for name in lanes]),
-            availability=np.asarray([self.availability_series[name] for name in lanes]),
-            requeues=np.asarray(
-                [self.requeue_series[name] for name in lanes], dtype=np.int64
-            ),
-            batch_occupancy=np.asarray(
-                [self.batch_occupancy_series[name] for name in lanes]
-            ),
-        )
-        if self.caches_on:
-            # Rows follow the meta's ``cached_deployments`` order; the key is
-            # absent entirely on cache-less runs so their chunks are
-            # byte-identical with the pre-cache format.
-            chunk["cache_hit_rate"] = np.asarray(
-                [self.cache_hit_series[name] for name in self.cache_hit_series]
+    def _cut_series_chunk(self) -> dict[str, np.ndarray]:
+        """The series recorded since the last cut as one ``series`` chunk.
+
+        Clears the accumulators; the row series become lanes x ticks arrays
+        whose rows follow the labels :func:`assemble_result` reads from
+        :meth:`result_fields`.
+        """
+        times = np.asarray(self.sample_times, dtype=np.float64)
+        chunk = {
+            "sample_times": times,
+            "target_qps": np.asarray(self.pattern.rate_at(times), dtype=np.float64),
+            "memory_gb": np.asarray(self.memory_series, dtype=np.float64),
+        }
+        for name, rows in self.row_series.items():
+            chunk[name] = np.asarray(
+                list(rows.values()), dtype=LANE_SERIES.get(name, np.float64)
             )
-        if self.watchdog_on:
-            # Rows follow WATCHDOG_SERIES_KEYS order; absent on watchdog-off
-            # runs so their chunks stay byte-identical with the old format.
-            chunk["watchdog"] = np.asarray(
-                [self.watchdog_series[key] for key in WATCHDOG_SERIES_KEYS]
-            )
-        self.stream_writer.append("series", **chunk)
+            for values in rows.values():
+                values.clear()
+        self.num_ticks += times.size
         self.sample_times = []
         self.memory_series = []
-        for name in lanes:
-            self.replica_series[name] = []
-            self.utilization_series[name] = []
-            self.availability_series[name] = []
-            self.requeue_series[name] = []
-            self.batch_occupancy_series[name] = []
-        for name in self.cache_hit_series:
-            self.cache_hit_series[name] = []
-        for key in self.watchdog_series:
-            self.watchdog_series[key] = []
-        self._pending_series_samples = 0
+        return chunk
 
-    def finish_run_streamed(self) -> dict:
-        """Flush everything left, commit the tenant manifest, return a summary.
+    def _flush_series_chunk(self) -> None:
+        """Spool the series recorded since the last flush, if any."""
+        if self.sample_times:
+            self.stream_writer.append("series", **self._cut_series_chunk())
 
-        The merged :class:`SimulationResult` is rebuilt from the spool by
-        :func:`repro.serving.sharding.merge_stream`; what returns here is
-        deliberately tiny (it crosses a process boundary).
+    def result_fields(self) -> dict:
+        """The run's scalar result fields, row labels and tick counts.
+
+        JSON-serialisable: a streamed run commits it as its tenant
+        ``meta.json``.  Read after the final chunk cut, so ``num_ticks``
+        covers the whole run.
         """
-        self._flush_series_chunk()
-        if self.caches_on:
-            # Post-run cache state lives on the ReplicaCache objects again
-            # (tests and re-sharding hooks inspect them between runs).
-            for pool in self.pools.values():
-                pool.flush_fills()
-        self.tracker.spill(self.tracker.num_samples, self._write_query_chunk)
-        meta = {
-            "schema": 1,
-            "status": "complete",
+        watchdog = self.watchdog
+        return {
             "tenant": self.name,
             "plan_name": self.plan.name,
             "strategy": self.plan.strategy,
@@ -2511,89 +2532,41 @@ class _TenantRuntime:
             "degraded_queries": len(self.degraded_indices),
             "shed_queries": self.shed_count,
             "retried_queries": self.retried_count,
-            "slo_tier1_breaches": self.watchdog.tier1_breaches if self.watchdog else 0,
-            "slo_tier2_flags": self.watchdog.tier2_flags if self.watchdog else 0,
-            "slo_escalations": self.watchdog.escalations if self.watchdog else 0,
-            "slo_recoveries": self.watchdog.recoveries if self.watchdog else 0,
-            "cached_deployments": list(self.cache_hit_series),
+            "slo_tier1_breaches": watchdog.tier1_breaches if watchdog else 0,
+            "slo_tier2_flags": watchdog.tier2_flags if watchdog else 0,
+            "slo_escalations": watchdog.escalations if watchdog else 0,
+            "slo_recoveries": watchdog.recoveries if watchdog else 0,
+            "cached_deployments": [lane.name for lane in self._lanes if lane.cached],
             "deployments": [lane.name for lane in self._lanes],
             "num_samples": self.tracker.num_samples,
-            "rejected_queries": len(self.rejected_indices),
-            "dropped_queries": len(self.dropped_indices),
-            "requeued_queries": self.requeued_count,
-            "faults_injected": self.faults_injected,
-        }
-        self.stream_writer.write_meta(meta)
-        return {
-            "tenant": self.name,
-            "queries": self.tracker.num_samples,
+            "num_ticks": self.num_ticks,
             "rejected_queries": len(self.rejected_indices),
             "dropped_queries": len(self.dropped_indices),
             "requeued_queries": self.requeued_count,
             "faults_injected": self.faults_injected,
         }
 
-    def finish_run(self) -> SimulationResult:
+    def finish_run(self) -> SimulationResult | None:
+        """Close the run: its result in memory, or its spool on disk.
+
+        A streamed run flushes what is left and commits its tenant manifest
+        (:func:`repro.serving.sharding.merge_stream` rebuilds the result from
+        the spool) and returns ``None``.
+        """
         if self.caches_on:
             # Post-run cache state lives on the ReplicaCache objects again
             # (tests and re-sharding hooks inspect them between runs).
             for pool in self.pools.values():
                 pool.flush_fills()
-        sample_times = np.asarray(self.sample_times)
-        achieved_qps, p95_latency_ms = _metric_series(
-            self.tracker, sample_times, self.sample_interval_s
+        if self.stream is None:
+            chunk = self._cut_series_chunk()
+            return assemble_result(self.result_fields(), [chunk], self.tracker)
+        self._flush_series_chunk()
+        self.tracker.spill(self.tracker.num_samples, self._write_query_chunk)
+        self.stream_writer.write_meta(
+            {"schema": 1, "status": "complete", **self.result_fields()}
         )
-        return SimulationResult(
-            plan_name=self.plan.name,
-            strategy=self.plan.strategy,
-            sla_s=self.sla_s,
-            sample_times=sample_times,
-            target_qps=self.pattern.rate_at(sample_times),
-            achieved_qps=achieved_qps,
-            memory_gb=np.asarray(self.memory_series),
-            p95_latency_ms=p95_latency_ms,
-            replica_counts={k: np.asarray(v) for k, v in self.replica_series.items()},
-            tracker=self.tracker,
-            routing=self.policy.name,
-            tenant=self.name,
-            utilization={k: np.asarray(v) for k, v in self.utilization_series.items()},
-            cost_model=self.cost_model.name,
-            max_batch=self.max_batch,
-            batch_occupancy={
-                k: np.asarray(v) for k, v in self.batch_occupancy_series.items()
-            },
-            faults=self.faults_name,
-            availability={
-                k: np.asarray(v) for k, v in self.availability_series.items()
-            },
-            requeues={
-                k: np.asarray(v, dtype=np.int64) for k, v in self.requeue_series.items()
-            },
-            cache_hit_rate={
-                k: np.asarray(v) for k, v in self.cache_hit_series.items()
-            },
-            cache_mb=self.cache_mb,
-            rejected_queries=len(self.rejected_indices),
-            dropped_queries=len(self.dropped_indices),
-            requeued_queries=self.requeued_count,
-            faults_injected=self.faults_injected,
-            drift=self.drift_name,
-            replan=self.replan_name,
-            replans_applied=self.replans_applied,
-            slo=self.slo_name,
-            timeout_queries=len(self.timeout_indices),
-            degraded_queries=len(self.degraded_indices),
-            shed_queries=self.shed_count,
-            retried_queries=self.retried_count,
-            slo_tier1_breaches=self.watchdog.tier1_breaches if self.watchdog else 0,
-            slo_tier2_flags=self.watchdog.tier2_flags if self.watchdog else 0,
-            slo_escalations=self.watchdog.escalations if self.watchdog else 0,
-            slo_recoveries=self.watchdog.recoveries if self.watchdog else 0,
-            watchdog_series={
-                key: np.asarray(value)
-                for key, value in self.watchdog_series.items()
-            },
-        )
+        return None
 
 
 def _apply_fault(
@@ -2697,9 +2670,7 @@ def _drive(
     """Run every tenant's traffic through one shared event heap.
 
     Returns one entry per runtime: a :class:`SimulationResult` for in-memory
-    runtimes, or the small summary dict of
-    :meth:`_TenantRuntime.finish_run_streamed` for streamed ones (their full
-    result lives in the spool).
+    runtimes, ``None`` for streamed ones (their result lives in the spool).
 
     ``probe``, if given, is called as ``probe(now)`` after each tenant sample
     point (at equal timestamps every reconcile precedes every sample, so the
@@ -2918,10 +2889,7 @@ def _drive(
                 on_event(now, kind)
             runtimes[payload[0]].handle_retry(now, payload, heap, seq)
 
-    return [
-        runtime.finish_run_streamed() if runtime.stream is not None else runtime.finish_run()
-        for runtime in runtimes
-    ]
+    return [runtime.finish_run() for runtime in runtimes]
 
 
 class ServingEngine:
@@ -3323,11 +3291,10 @@ class MultiTenantEngine:
         writer = SpoolWriter(self._stream.directory)
         writer.append(
             "cluster",
-            sample_times=series.sample_times,
-            memory_gb=series.memory_gb,
-            memory_utilization=series.memory_utilization,
-            pending_placements=series.pending_placements,
-            nodes_in_use=series.nodes_in_use,
+            **{
+                item.name: getattr(series, item.name)
+                for item in dataclasses.fields(ClusterSeries)
+            },
         )
         tenant_dirs = [f"tenant-{index:03d}" for index in range(len(self._specs))]
         capacity_gb = self._cluster.memory_capacity_gb
@@ -3345,5 +3312,4 @@ class MultiTenantEngine:
             tenant_names=[tenant.name for tenant in self._specs],
             tenant_dirs=tenant_dirs,
             capacity_gb=capacity_gb,
-            summaries=results,
         )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +57,7 @@ from repro.serving.engine import (
     MultiTenantResult,
     SimulationResult,
     TenantSpec,
-    _metric_series,
+    assemble_result,
 )
 from repro.serving.faults import NodeDrain, make_fault_model
 from repro.serving.latency import LatencyTracker
@@ -69,7 +69,6 @@ from repro.serving.streaming import (
     iter_chunks,
     read_meta,
 )
-from repro.serving.watchdog import WATCHDOG_SERIES_KEYS
 
 __all__ = ["ShardPlan", "plan_shards", "run_sharded", "merge_stream"]
 
@@ -342,153 +341,36 @@ def _merge_tenant(tenant_dir: Path) -> SimulationResult:
     """Rebuild one tenant's exact :class:`SimulationResult` from its spool."""
     meta = read_meta(tenant_dir, "tenant spool")
     query_chunks = list(iter_chunks(tenant_dir, "queries"))
-    if query_chunks:
-        completion_times = np.concatenate([c["completion_times"] for c in query_chunks])
-        latencies_s = np.concatenate([c["latencies_s"] for c in query_chunks])
-    else:
-        completion_times = np.empty(0, dtype=np.float64)
-        latencies_s = np.empty(0, dtype=np.float64)
+    completion_times, latencies_s = (
+        np.concatenate([np.empty(0)] + [chunk[key] for chunk in query_chunks])
+        for key in ("completion_times", "latencies_s")
+    )
     if completion_times.size != meta["num_samples"]:
         raise SpoolError(
             f"{tenant_dir}: manifest records {meta['num_samples']} samples but "
             f"the query chunks hold {completion_times.size}"
         )
-    tracker = LatencyTracker.from_arrays(completion_times, latencies_s)
-
-    deployments = meta["deployments"]
-    # Cached runs stream one extra series whose rows follow the manifest's
-    # cached-deployment order; pre-cache spools have neither key.
-    cached_deployments = meta.get("cached_deployments", [])
-    cache_hit_rate: dict[str, np.ndarray] = {}
-    # Watchdog runs stream one extra series whose rows follow
-    # WATCHDOG_SERIES_KEYS order; watchdog-off spools have neither key.
-    slo = meta.get("slo", "none")
-    watchdog_series: dict[str, np.ndarray] = {}
     series_chunks = list(iter_chunks(tenant_dir, "series"))
-    if series_chunks:
-        sample_times = np.concatenate([c["sample_times"] for c in series_chunks])
-        target_qps = np.concatenate([c["target_qps"] for c in series_chunks])
-        memory_gb = np.concatenate([c["memory_gb"] for c in series_chunks])
-        stacked = {
-            name: np.concatenate([c[name] for c in series_chunks], axis=1)
-            for name in (
-                "replica_counts",
-                "utilization",
-                "availability",
-                "requeues",
-                "batch_occupancy",
-            )
-        }
-        per_lane = {
-            name: {
-                deployment: stacked[name][row]
-                for row, deployment in enumerate(deployments)
-            }
-            for name in stacked
-        }
-        if cached_deployments:
-            hit_rows = np.concatenate(
-                [c["cache_hit_rate"] for c in series_chunks], axis=1
-            )
-            cache_hit_rate = {
-                deployment: hit_rows[row]
-                for row, deployment in enumerate(cached_deployments)
-            }
-        if slo != "none":
-            watchdog_rows = np.concatenate(
-                [c["watchdog"] for c in series_chunks], axis=1
-            )
-            watchdog_series = {
-                key: watchdog_rows[row]
-                for row, key in enumerate(WATCHDOG_SERIES_KEYS)
-            }
-    else:
-        sample_times = np.empty(0, dtype=np.float64)
-        target_qps = np.empty(0, dtype=np.float64)
-        memory_gb = np.empty(0, dtype=np.float64)
-        per_lane = {
-            name: {
-                deployment: np.empty(0, dtype=dtype)
-                for deployment in deployments
-            }
-            for name, dtype in (
-                ("replica_counts", np.float64),
-                ("utilization", np.float64),
-                ("availability", np.float64),
-                ("requeues", np.int64),
-                ("batch_occupancy", np.float64),
-            )
-        }
-        cache_hit_rate = {
-            deployment: np.empty(0, dtype=np.float64)
-            for deployment in cached_deployments
-        }
-        if slo != "none":
-            watchdog_series = {
-                key: np.empty(0, dtype=np.float64) for key in WATCHDOG_SERIES_KEYS
-            }
-    achieved_qps, p95_latency_ms = _metric_series(
-        tracker, sample_times, float(meta["sample_interval_s"])
-    )
-    return SimulationResult(
-        plan_name=meta["plan_name"],
-        strategy=meta["strategy"],
-        sla_s=float(meta["sla_s"]),
-        sample_times=sample_times,
-        target_qps=target_qps,
-        achieved_qps=achieved_qps,
-        memory_gb=memory_gb,
-        p95_latency_ms=p95_latency_ms,
-        replica_counts=per_lane["replica_counts"],
-        tracker=tracker,
-        routing=meta["routing"],
-        tenant=meta["tenant"],
-        utilization=per_lane["utilization"],
-        cost_model=meta["cost_model"],
-        max_batch=int(meta["max_batch"]),
-        batch_occupancy=per_lane["batch_occupancy"],
-        faults=meta["faults"],
-        availability=per_lane["availability"],
-        requeues=per_lane["requeues"],
-        rejected_queries=int(meta["rejected_queries"]),
-        dropped_queries=int(meta["dropped_queries"]),
-        requeued_queries=int(meta["requeued_queries"]),
-        faults_injected=int(meta["faults_injected"]),
-        cache_hit_rate=cache_hit_rate,
-        cache_mb=float(meta.get("cache_mb", 0.0)),
-        drift=meta.get("drift", "none"),
-        replan=meta.get("replan", "none"),
-        replans_applied=int(meta.get("replans_applied", 0)),
-        slo=slo,
-        timeout_queries=int(meta.get("timeout_queries", 0)),
-        degraded_queries=int(meta.get("degraded_queries", 0)),
-        shed_queries=int(meta.get("shed_queries", 0)),
-        retried_queries=int(meta.get("retried_queries", 0)),
-        slo_tier1_breaches=int(meta.get("slo_tier1_breaches", 0)),
-        slo_tier2_flags=int(meta.get("slo_tier2_flags", 0)),
-        slo_escalations=int(meta.get("slo_escalations", 0)),
-        slo_recoveries=int(meta.get("slo_recoveries", 0)),
-        watchdog_series=watchdog_series,
-    )
+    ticks = sum(chunk["sample_times"].size for chunk in series_chunks)
+    if ticks != meta["num_ticks"]:
+        raise SpoolError(
+            f"{tenant_dir}: manifest records {meta['num_ticks']} sample ticks "
+            f"but the series chunks hold {ticks}"
+        )
+    tracker = LatencyTracker.from_arrays(completion_times, latencies_s)
+    return assemble_result(meta, series_chunks, tracker)
 
 
 def _read_cluster_series(shard_dir: Path) -> ClusterSeries:
     chunks = list(iter_chunks(shard_dir, "cluster"))
-    fields = (
-        "sample_times",
-        "memory_gb",
-        "memory_utilization",
-        "pending_placements",
-        "nodes_in_use",
-    )
-    if chunks:
-        merged = {name: np.concatenate([c[name] for c in chunks]) for name in fields}
-    else:
-        merged = {
-            name: np.empty(0, dtype=np.int64 if name in ("pending_placements", "nodes_in_use") else np.float64)
-            for name in fields
+    if not chunks:
+        raise SpoolError(f"{shard_dir}: the shard manifest has no cluster series chunk")
+    return ClusterSeries(
+        **{
+            item.name: np.concatenate([chunk[item.name] for chunk in chunks])
+            for item in fields(ClusterSeries)
         }
-    return ClusterSeries(**merged)
+    )
 
 
 def merge_stream(stream_dir: str | Path) -> MultiTenantResult:

@@ -17,10 +17,10 @@ Spool layout (one directory per sharded run)::
     <stream_dir>/
       meta.json                  # run manifest: shard count, tenant names
       shard-000/
-        meta.json                # shard manifest: status, capacity, peak RSS
+        meta.json                # shard manifest: status, tenants, capacity
         cluster-000000.npz       # cluster-probe point chunks
         tenant-000/
-          meta.json              # tenant scalars (written last: commit marker)
+          meta.json              # result fields, sample + tick counts (commit marker)
           queries-000000.npz     # tracker spills: completion times + latencies
           queries-000001.npz
           series-000000.npz      # per-interval series chunks
@@ -29,9 +29,12 @@ Durability discipline: every chunk is written to a ``*.tmp`` sibling and
 atomically renamed into place, and every ``meta.json`` is written *after*
 the data it describes — so a worker crash leaves at most one ``*.tmp``
 orphan (ignored by readers) or a directly truncated final chunk (detected
-on read).  :func:`iter_chunks` raises :class:`SpoolTruncatedError` on a
-corrupt chunk by default; ``recover=True`` salvages the intact prefix
-instead, which is what crash-recovery tooling wants.
+on read).  The tenant manifest records how many queries and sample ticks
+its ``queries`` and ``series`` chunks hold, so a chunk lost from the end of
+either stream fails the merge, as does a shard without its cluster chunk.
+:func:`iter_chunks` raises :class:`SpoolTruncatedError` on a corrupt chunk
+by default; ``recover=True`` salvages the intact prefix instead, which is
+what crash-recovery tooling wants.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import json
 import os
 import re
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -105,7 +108,6 @@ class ShardManifest:
     tenant_dirs: list[str]
     capacity_gb: float
     peak_rss_mb: float = 0.0
-    summaries: list[dict] = field(default_factory=list)
 
 
 class SpoolWriter:

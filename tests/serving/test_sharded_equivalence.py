@@ -15,31 +15,17 @@ at worker counts {1, 2, 7}, including uneven tenant/node splits.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import MultiTenantEngine, TenantSpec
+from repro.serving.engine import MultiTenantEngine, SimulationResult, TenantSpec
 from repro.serving.scenarios import build_scenario
 from repro.serving.sharding import plan_shards, run_sharded
-
-SERIES_FIELDS = (
-    "sample_times",
-    "target_qps",
-    "achieved_qps",
-    "memory_gb",
-    "p95_latency_ms",
-)
-LANE_FIELDS = (
-    "replica_counts",
-    "utilization",
-    "availability",
-    "requeues",
-    "cache_hit_rate",
-    "watchdog_series",
-)
 
 
 @pytest.fixture(scope="module")
@@ -83,35 +69,39 @@ def make_tenants(
     ]
 
 
+def assert_results_identical(expected, actual, label) -> None:
+    """Every :class:`SimulationResult` field equal in value and dtype.
+
+    Dict fields must also list their keys in the same order; the tracker is
+    compared by its completion-time and latency arrays.
+    """
+    for item in dataclasses.fields(SimulationResult):
+        want, got = getattr(expected, item.name), getattr(actual, item.name)
+        where = (label, item.name)
+        if item.name == "tracker":
+            pairs = [
+                (want.completion_times, got.completion_times),
+                (want.latencies_s, got.latencies_s),
+            ]
+        elif isinstance(want, dict):
+            assert list(got) == list(want), where
+            pairs = [(want[key], got[key]) for key in want]
+        elif isinstance(want, np.ndarray):
+            pairs = [(want, got)]
+        else:
+            assert type(got) is type(want) and got == want, where
+            continue
+        for want_array, got_array in pairs:
+            assert got_array.dtype == want_array.dtype, where
+            assert np.array_equal(got_array, want_array), where
+
+
 def assert_tenants_identical(serial, sharded) -> None:
     assert list(serial.tenants) == list(sharded.tenants)
     for name, expected in serial.tenants.items():
         actual = sharded.tenants[name]
         assert actual.digest() == expected.digest(), name
-        for field in SERIES_FIELDS:
-            assert np.array_equal(getattr(actual, field), getattr(expected, field)), (
-                name,
-                field,
-            )
-        for field in LANE_FIELDS:
-            expected_map = getattr(expected, field)
-            actual_map = getattr(actual, field)
-            assert sorted(actual_map) == sorted(expected_map), (name, field)
-            for lane in expected_map:
-                assert np.array_equal(actual_map[lane], expected_map[lane]), (
-                    name,
-                    field,
-                    lane,
-                )
-        assert np.array_equal(
-            actual.tracker.completion_times, expected.tracker.completion_times
-        ), name
-        assert np.array_equal(
-            actual.tracker.latencies_s, expected.tracker.latencies_s
-        ), name
-        # The merged reliability aggregates (including the watchdog's timeout
-        # and degraded counters) must equal the serial run's, key for key.
-        assert actual.reliability_summary() == expected.reliability_summary(), name
+        assert_results_identical(expected, actual, name)
 
 
 class TestShardPlanning:

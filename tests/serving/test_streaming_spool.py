@@ -29,6 +29,7 @@ from repro.serving.streaming import (
     iter_chunks,
     read_meta,
 )
+from test_sharded_equivalence import assert_tenants_identical
 
 # ----------------------------------------------------------------------
 # Chunk-level discipline
@@ -123,6 +124,30 @@ class TestChunkDiscipline:
 # ----------------------------------------------------------------------
 
 
+#: Per-tenant options beyond the plain ``t0``: between them the tenants
+#: record every optional series and scalar of a result — crash faults, an
+#: embedding cache with batching, drift with a live re-plan, and the SLO
+#: watchdog.
+TENANT_OPTIONS = (
+    {},
+    {"faults": "crash-storm"},
+    {"cost_model": "skewed", "cache_mb": 16.0, "max_batch": 4},
+    {
+        "cost_model": "skewed",
+        "drift": "linear@10+30:to=0.1",
+        "replan": "sla@1.2:patience=2,cooldown=30,max=2",
+    },
+    {
+        "cost_model": "skewed",
+        "faults": "crash-storm",
+        "slo": (
+            "p95@0.5:availability=0.999,reject=0.001,patience=1,"
+            "shed=0.2,deadline=20,timeout=6,retries=2,recover=3"
+        ),
+    },
+)
+
+
 @pytest.fixture(scope="module")
 def tenants():
     cluster = cpu_only_cluster(num_nodes=16)
@@ -134,9 +159,9 @@ def tenants():
             pattern=build_scenario("flash-crowd", 8.0, 24.0, 60.0),
             seed=index,
             max_replicas=6,
-            faults="crash-storm" if index == 1 else None,
+            **options,
         )
-        for index in range(2)
+        for index, options in enumerate(TENANT_OPTIONS)
     ], cluster
 
 
@@ -173,13 +198,13 @@ class TestStreamedRoundTrip:
             assert np.array_equal(getattr(merged, field), getattr(expected, field)), field
 
     def test_tenant_results_round_trip_exactly(self, serial, stream_dir):
-        merged = merge_stream(stream_dir)
-        assert list(merged.tenants) == list(serial.tenants)
-        for name, expected in serial.tenants.items():
-            actual = merged.tenants[name]
-            assert actual.digest() == expected.digest(), name
-            assert actual.summary() == expected.summary(), name
-            assert actual.reliability_summary() == expected.reliability_summary(), name
+        # Every optional series and scalar is really recorded somewhere.
+        cached, replanned, guarded = (serial.tenants[name] for name in ("t2", "t3", "t4"))
+        assert cached.cache_hit_rate and cached.max_batch == 4
+        assert max(float(row.max()) for row in cached.batch_occupancy.values()) > 1.0
+        assert replanned.replans_applied > 0
+        assert guarded.watchdog_series and guarded.retried_queries > 0
+        assert_tenants_identical(serial, merge_stream(stream_dir))
 
     def test_small_thresholds_really_spooled_many_chunks(self, stream_dir):
         tenant_dir = stream_dir / "shard-000" / "tenant-000"
@@ -230,4 +255,21 @@ class TestCrashRecovery:
         # Removing the FINAL chunk leaves a dense, readable stream whose
         # sample count no longer matches the manifest.
         with pytest.raises(SpoolError, match="manifest records"):
+            merge_stream(stream_dir)
+
+    @pytest.mark.parametrize("lost", ["last", "all"])
+    def test_lost_series_chunks_are_detected(self, tenants, tmp_path, lost):
+        stream_dir = self._streamed(tenants, tmp_path)
+        tenant_dir = stream_dir / "shard-000" / "tenant-000"
+        paths = chunk_paths(tenant_dir, "series")
+        for path in paths[-1:] if lost == "last" else paths:
+            path.unlink()
+        with pytest.raises(SpoolError, match="sample ticks"):
+            merge_stream(stream_dir)
+
+    def test_missing_cluster_chunk_fails_the_merge(self, tenants, tmp_path):
+        stream_dir = self._streamed(tenants, tmp_path)
+        for path in chunk_paths(stream_dir / "shard-000", "cluster"):
+            path.unlink()
+        with pytest.raises(SpoolError, match="cluster series"):
             merge_stream(stream_dir)
